@@ -1,4 +1,4 @@
-.PHONY: build test race bench verify bench-compare bench-ingest bench-agg test-faults bench-faults bench-http bench-http-smoke bench-http-replicas bench-http-failover test-repl test-chaos
+.PHONY: build test race bench verify bench-compare bench-ingest bench-agg test-faults bench-faults bench-http bench-http-smoke bench-http-replicas bench-http-failover test-repl test-chaos fuzz
 
 build:
 	go build ./...
@@ -58,6 +58,20 @@ test-chaos:
 	BFABRIC_CHAOS=full go test -race -count=1 \
 		-run 'TestPromotionChaosCampaign|TestFencedAheadRefusesZombie|TestPromoteDisconnectRepoints|TestHalfOpenFreezesLastContact' \
 		./internal/repl
+
+# Native fuzzing of every decoder that reads bytes from disk or the
+# network: each Fuzz* target runs for FUZZTIME (default 20s), starting
+# from its committed seed corpus under testdata/fuzz/ (which plain `go
+# test` already replays). New crashers land in testdata/fuzz/ as
+# regression seeds. Not part of `make verify`.
+FUZZTIME ?= 20s
+fuzz:
+	@for pkg in $$(go list ./...); do \
+		for target in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target ($(FUZZTIME))"; \
+			go test $$pkg -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -parallel 2 || exit 1; \
+		done; \
+	done
 
 # Fence that the storefs indirection keeps the hot paths within noise:
 # Q1 (filtered browse query), D3 (durable commit latency) and the bulk

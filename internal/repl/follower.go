@@ -405,8 +405,9 @@ func (f *Follower) applyError(err error) error {
 }
 
 // receiveSnapshot streams snapshot chunks into ResetFromSnapshot. The
-// decode runs concurrently off an io.Pipe so the whole snapshot is never
-// buffered in memory.
+// decode runs concurrently off an io.Pipe and builds the new version
+// straight from the stream, so the whole snapshot — as bytes or in any
+// decoded intermediate form — is never buffered in memory.
 func (f *Follower) receiveSnapshot(conn net.Conn, br *bufio.Reader, seq uint64) error {
 	pr, pw := io.Pipe()
 	type result struct {

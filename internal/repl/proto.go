@@ -28,8 +28,11 @@ import (
 const (
 	// protoMagic opens both hello messages; the trailing digits version
 	// the protocol. v2 added the replication epoch to both directions of
-	// the handshake and a status byte to the reply (fencing).
-	protoMagic = "BFREPL02"
+	// the handshake and a status byte to the reply (fencing); v3 carries
+	// resync snapshots in the streaming BFSNAP02 codec instead of gob, so
+	// a mixed-version pair is refused at the handshake rather than
+	// looping on snapshots one side cannot decode.
+	protoMagic = "BFREPL03"
 
 	// helloSize is the follower's hello: magic, last applied seq,
 	// replication epoch, flags.
@@ -92,12 +95,20 @@ func readHello(r io.Reader) (lastSeq, epoch uint64, flags byte, err error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, 0, 0, err
 	}
-	if string(buf[:len(protoMagic)]) != protoMagic {
-		return 0, 0, 0, fmt.Errorf("repl: bad handshake magic")
+	if err := checkMagic(buf); err != nil {
+		return 0, 0, 0, err
 	}
 	lastSeq = binary.LittleEndian.Uint64(buf[len(protoMagic):])
 	epoch = binary.LittleEndian.Uint64(buf[len(protoMagic)+8:])
 	return lastSeq, epoch, buf[helloSize-1], nil
+}
+
+// checkMagic refuses a hello from another protocol version (or none).
+func checkMagic(hello []byte) error {
+	if got := string(hello[:len(protoMagic)]); got != protoMagic {
+		return fmt.Errorf("repl: handshake magic %q, want %q", got, protoMagic)
+	}
+	return nil
 }
 
 // writeHelloReply sends the primary's handshake reply: the fencing
@@ -118,8 +129,8 @@ func readHelloReply(r io.Reader) (status byte, headSeq, epoch uint64, err error)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, 0, 0, err
 	}
-	if string(buf[:len(protoMagic)]) != protoMagic {
-		return 0, 0, 0, fmt.Errorf("repl: bad handshake magic")
+	if err := checkMagic(buf); err != nil {
+		return 0, 0, 0, err
 	}
 	status = buf[len(protoMagic)]
 	headSeq = binary.LittleEndian.Uint64(buf[len(protoMagic)+1:])

@@ -38,6 +38,11 @@ var (
 	// history (a torn tail on the newest WAL segment is repaired, not
 	// reported).
 	ErrCorrupt = errors.New("corrupt data directory")
+	// ErrSnapshotFormat is returned when a snapshot is not in the
+	// format this release reads (BFSNAP02, see snapcodec.go) — notably a
+	// gob-encoded snapshot.gob written before the streaming codec. Such
+	// files are refused, never guessed at; the message names the file.
+	ErrSnapshotFormat = errors.New("unsupported snapshot format")
 	// ErrReplica is returned by every local write path of a store placed
 	// in replica mode with SetReplica: the only writes a replica accepts
 	// are replicated frames (ApplyReplicated) and snapshot resyncs

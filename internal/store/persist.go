@@ -1,112 +1,11 @@
 package store
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 )
-
-// snapshot is the serialized form of a store. Records are flattened into a
-// typed representation so that gob round-trips preserve concrete types.
-type snapshot struct {
-	Version int
-	// Seq is the commit sequence the snapshot captures; WAL records at or
-	// below it are redundant. Zero on snapshots from before the WAL era.
-	Seq uint64
-	// Epoch is the replication epoch of the store that produced the
-	// snapshot (epoch.go). Zero on snapshots from before the fencing era;
-	// loaders normalize it to 1.
-	Epoch  uint64
-	Tables []tableSnapshot
-}
-
-type tableSnapshot struct {
-	Name    string
-	NextID  int64
-	Rows    []rowSnapshot
-	Indexes []indexSnapshot
-}
-
-type rowSnapshot struct {
-	ID     int64
-	Fields []fieldSnapshot
-}
-
-type indexSnapshot struct {
-	Field  string
-	Unique bool
-}
-
-// fieldSnapshot carries one field value with an explicit type tag.
-type fieldSnapshot struct {
-	Key  string
-	Kind uint8
-	S    string
-	I    int64
-	F    float64
-	B    bool
-	T    time.Time
-	LI   []int64
-	LS   []string
-}
-
-const (
-	kindString uint8 = iota
-	kindInt
-	kindFloat
-	kindBool
-	kindTime
-	kindIntList
-	kindStringList
-)
-
-func encodeField(key string, v any) (fieldSnapshot, error) {
-	fs := fieldSnapshot{Key: key}
-	switch x := v.(type) {
-	case string:
-		fs.Kind, fs.S = kindString, x
-	case int64:
-		fs.Kind, fs.I = kindInt, x
-	case float64:
-		fs.Kind, fs.F = kindFloat, x
-	case bool:
-		fs.Kind, fs.B = kindBool, x
-	case time.Time:
-		fs.Kind, fs.T = kindTime, x
-	case []int64:
-		fs.Kind, fs.LI = kindIntList, x
-	case []string:
-		fs.Kind, fs.LS = kindStringList, x
-	default:
-		return fs, fmt.Errorf("store: field %q: %w", key, ErrBadValue)
-	}
-	return fs, nil
-}
-
-func (fs fieldSnapshot) decode() any {
-	switch fs.Kind {
-	case kindString:
-		return fs.S
-	case kindInt:
-		return fs.I
-	case kindFloat:
-		return fs.F
-	case kindBool:
-		return fs.B
-	case kindTime:
-		return fs.T
-	case kindIntList:
-		return fs.LI
-	case kindStringList:
-		return fs.LS
-	default:
-		return nil
-	}
-}
 
 // Save serializes the entire committed state of the store to w.
 func (s *Store) Save(w io.Writer) error {
@@ -116,8 +15,8 @@ func (s *Store) Save(w io.Writer) error {
 
 // freeze captures a consistent cut of the whole store: under MVCC that is
 // simply the current version, pinned with one atomic load. The version is
-// immutable, so the expensive gob encode runs entirely outside any lock
-// — commits proceed at full speed while a snapshot is being written.
+// immutable, so the snapshot encoder streams it out entirely outside any
+// lock — commits proceed at full speed while a snapshot is being written.
 func (s *Store) freeze() *version {
 	return s.current.Load()
 }
@@ -129,61 +28,14 @@ func (s *Store) writeSnapshot(w io.Writer) (uint64, error) {
 	return writeSnapshotVersion(s.freeze(), s.epoch.Load(), w)
 }
 
-// writeSnapshotVersion serializes one pinned version under the given
-// replication epoch. The encoding is deterministic — tables, rows,
-// field keys and index names are all emitted in sorted order through a
-// single gob stream — so two stores holding the same logical state at
-// the same seq and epoch produce byte-identical snapshots (the property
-// replica convergence tests pin on; the epoch is part of the state, so
-// a store still on an older timeline's epoch has, by definition, not
-// converged).
-func writeSnapshotVersion(v *version, epoch uint64, w io.Writer) (uint64, error) {
-	snap := snapshot{Version: 1, Seq: v.seq, Epoch: epoch}
-	for _, name := range v.tableNames() {
-		t := v.tables[name]
-		ts := tableSnapshot{Name: name, NextID: t.nextID}
-		ixNames := make([]string, 0, len(t.indexes))
-		for f := range t.indexes {
-			ixNames = append(ixNames, f)
-		}
-		sort.Strings(ixNames)
-		for _, f := range ixNames {
-			ts.Indexes = append(ts.Indexes, indexSnapshot{Field: f, Unique: t.indexes[f].unique})
-		}
-		it := t.iter(0, 0)
-		for id, r := it.next(); id != 0; id, r = it.next() {
-			rs := rowSnapshot{ID: id}
-			keys := make([]string, 0, len(r))
-			for k := range r {
-				if k == IDField {
-					continue
-				}
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				f, err := encodeField(k, r[k])
-				if err != nil {
-					return 0, err
-				}
-				rs.Fields = append(rs.Fields, f)
-			}
-			ts.Rows = append(ts.Rows, rs)
-		}
-		snap.Tables = append(snap.Tables, ts)
-	}
-	return snap.Seq, gob.NewEncoder(w).Encode(snap)
-}
-
 // Load replaces the contents of the store with a snapshot previously
-// produced by Save. The store must be empty.
+// produced by Save. The store must be empty. The snapshot is decoded
+// straight into a private version (snapcodec.go), published with one
+// atomic store once the whole stream has checked out.
 func (s *Store) Load(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	if snap.Version != 1 {
-		return fmt.Errorf("store: unsupported snapshot version %d", snap.Version)
+	nv, epoch, err := readSnapshot(r)
+	if err != nil {
+		return err
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -193,47 +45,11 @@ func (s *Store) Load(r io.Reader) error {
 	if len(s.current.Load().tables) != 0 {
 		return fmt.Errorf("store: Load requires an empty store")
 	}
-	// Build the version privately — no reader can reach it yet — then
-	// publish it with one atomic store.
-	nv, err := buildSnapshotVersion(&snap)
-	if err != nil {
-		return err
-	}
 	s.current.Store(nv)
-	if snap.Epoch > 1 {
-		s.epoch.Store(snap.Epoch) // adopt the producing store's epoch
+	if epoch > 1 {
+		s.epoch.Store(epoch) // adopt the producing store's epoch
 	}
 	return nil
-}
-
-// buildSnapshotVersion materializes a decoded snapshot into a fresh,
-// fully-indexed version. The version is private to the caller until it
-// publishes it; shared by Load and ResetFromSnapshot.
-func buildSnapshotVersion(snap *snapshot) (*version, error) {
-	nv := &version{seq: snap.Seq, tables: make(map[string]*table, len(snap.Tables))}
-	for _, ts := range snap.Tables {
-		t := newTable(ts.Name)
-		t.nextID = ts.NextID
-		t.lastSeq = snap.Seq
-		for _, ixs := range ts.Indexes {
-			t.indexes[ixs.Field] = newIndex(ixs.Field, ixs.Unique)
-		}
-		for _, rs := range ts.Rows {
-			rec := make(Record, len(rs.Fields)+1)
-			rec[IDField] = rs.ID
-			for _, f := range rs.Fields {
-				rec[f.Key] = f.decode()
-			}
-			for _, ix := range t.indexes {
-				if err := ix.insert(rec, rs.ID); err != nil {
-					return nil, fmt.Errorf("store: loading %s/%d: %w", ts.Name, rs.ID, err)
-				}
-			}
-			t.put(rs.ID, rec, snap.Seq)
-		}
-		nv.tables[ts.Name] = t
-	}
-	return nv, nil
 }
 
 // SaveFile writes the store snapshot atomically (write to a temp file,
@@ -281,11 +97,16 @@ func (s *Store) writeVersionSnapshotFile(path string, v *version, epoch uint64) 
 }
 
 // LoadFile loads a snapshot from the named file into the empty store.
+// Decode failures name the file; a file in a format this release does not
+// read (a gob-era snapshot) fails with ErrSnapshotFormat.
 func (s *Store) LoadFile(path string) error {
 	f, err := s.fileSystem().OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return s.Load(f)
+	if err := s.Load(f); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -476,22 +475,16 @@ func InspectDir(dir string) (*DirInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Decode only the metadata fields: gob skips fields absent from
-		// the destination, so the table data is never materialized —
-		// inspection stays cheap at deployment scale.
-		var hdr struct {
-			Version int
-			Seq     uint64
-			Epoch   uint64
-		}
-		err = gob.NewDecoder(f).Decode(&hdr)
+		// The fixed header carries everything inspection needs; the
+		// table data is never read.
+		seq, epoch, err := readSnapshotHeader(f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("store: decoding snapshot: %w", err)
+			return nil, fmt.Errorf("%s: %w", snapPath, err)
 		}
-		info.SnapshotSeq = hdr.Seq
-		info.LastSeq = hdr.Seq
-		info.Epoch = hdr.Epoch
+		info.SnapshotSeq = seq
+		info.LastSeq = seq
+		info.Epoch = epoch
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -389,20 +388,9 @@ func (s *Store) PinnedSnapshot() (uint64, func(io.Writer) error) {
 // store: a replica that cannot persist its resync must refuse further
 // replication rather than silently diverge after a restart.
 func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return 0, fmt.Errorf("store: decoding snapshot: %v: %w", err, ErrCorrupt)
-	}
-	if snap.Version != 1 {
-		return 0, fmt.Errorf("store: unsupported snapshot version %d", snap.Version)
-	}
-	nv, err := buildSnapshotVersion(&snap)
+	nv, snapEpoch, err := readSnapshot(r)
 	if err != nil {
 		return 0, err
-	}
-	snapEpoch := snap.Epoch
-	if snapEpoch == 0 {
-		snapEpoch = 1 // pre-epoch snapshot
 	}
 	// Lock order: snapMu before writeMu mirrors no existing path (Snapshot
 	// takes snapMu alone; commits take writeMu alone) so no cycle is
@@ -426,7 +414,7 @@ func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
 		return 0, &FencedEpochError{Local: cur, Remote: snapEpoch}
 	}
 	if s.wal != nil {
-		if err := s.wal.reset(snap.Seq); err != nil {
+		if err := s.wal.reset(nv.seq); err != nil {
 			s.degrade(err)
 			return 0, fmt.Errorf("store: resetting wal for snapshot resync: %w", err)
 		}
@@ -440,7 +428,7 @@ func (s *Store) ResetFromSnapshot(r io.Reader) (uint64, error) {
 	// Frame subscribers were promised a gapless feed from their cut; a
 	// reset moves the head wholesale, so drop them and let them re-cut.
 	s.closeSubsLocked()
-	return snap.Seq, nil
+	return nv.seq, nil
 }
 
 // reset discards the whole log and starts a fresh segment based just

@@ -69,7 +69,8 @@ func (p SyncPolicy) String() string {
 
 // On-disk layout of a data directory:
 //
-//	<dir>/snapshot.gob           full store snapshot, atomically replaced
+//	<dir>/snapshot.gob           full store snapshot (BFSNAP02, see snapcodec.go),
+//	                             atomically replaced
 //	<dir>/wal-<base>.log         WAL segments; base = first commit seq inside
 //
 // Each segment starts with an 8-byte magic and holds a sequence of frames:

@@ -2,17 +2,17 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
 )
 
-// WAL frame payload codec. The payload reuses the typed fieldSnapshot
-// model of persist.go but serializes it with a hand-rolled little-endian
-// binary layout instead of gob: a self-contained gob stream re-sends its
-// type descriptors in every frame and pays reflection on both sides,
-// which at one frame per commit made encoding the dominant cost of the
-// whole durable write path. The layout:
+// WAL frame payload codec. A payload decodes into rowSnapshot /
+// fieldSnapshot values (below) and is written with a hand-rolled
+// little-endian binary layout; the kind tags are shared with the
+// snapshot codec (snapcodec.go), which stores the same values with
+// varints instead of fixed-width integers. The layout:
 //
 //	payload   := seq u64, nTables u32, table...
 //	table     := name str, nextID i64, nDeletes u32, i64...,
@@ -31,6 +31,57 @@ import (
 // Decoding is strict: trailing garbage, truncation and unknown kinds are
 // errors, so a frame that passes its CRC but not the codec is handled as
 // corruption by the caller.
+
+// rowSnapshot is one whole-record write of a WAL record.
+type rowSnapshot struct {
+	ID     int64
+	Fields []fieldSnapshot
+}
+
+// fieldSnapshot carries one decoded field value with an explicit type tag.
+type fieldSnapshot struct {
+	Key  string
+	Kind uint8
+	S    string
+	I    int64
+	F    float64
+	B    bool
+	T    time.Time
+	LI   []int64
+	LS   []string
+}
+
+// Field kind tags, shared by the WAL and snapshot codecs.
+const (
+	kindString uint8 = iota
+	kindInt
+	kindFloat
+	kindBool
+	kindTime
+	kindIntList
+	kindStringList
+)
+
+func (fs fieldSnapshot) decode() any {
+	switch fs.Kind {
+	case kindString:
+		return fs.S
+	case kindInt:
+		return fs.I
+	case kindFloat:
+		return fs.F
+	case kindBool:
+		return fs.B
+	case kindTime:
+		return fs.T
+	case kindIntList:
+		return fs.LI
+	case kindStringList:
+		return fs.LS
+	default:
+		return nil
+	}
+}
 
 func appendU32(b []byte, v uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, v)
@@ -60,9 +111,9 @@ func appendBytes(b []byte, p []byte) []byte {
 	return append(b, p...)
 }
 
-// appendValue encodes one live record value (not yet a fieldSnapshot) in
-// the field layout. Mirrors encodeField's type switch; unsupported types
-// cannot reach here because Insert/Put validate on the way in.
+// appendValue encodes one live record value in the field layout.
+// Unsupported types cannot reach here because Insert/Put validate on the
+// way in.
 func appendValue(buf []byte, key string, v any) ([]byte, error) {
 	buf = appendStr(buf, key)
 	switch x := v.(type) {
@@ -107,57 +158,58 @@ func appendValue(buf []byte, key string, v any) ([]byte, error) {
 	return buf, nil
 }
 
-// walDecoder is a bounds-checked cursor over one frame payload.
-type walDecoder struct {
+// decoder is a bounds-checked cursor over one WAL frame payload or one
+// snapshot row chunk.
+type decoder struct {
 	b   []byte
 	off int
 }
 
-var errWALDecode = fmt.Errorf("malformed wal payload")
+var errMalformed = errors.New("malformed payload")
 
-func (d *walDecoder) u8() (byte, error) {
+func (d *decoder) u8() (byte, error) {
 	if d.off+1 > len(d.b) {
-		return 0, errWALDecode
+		return 0, errMalformed
 	}
 	v := d.b[d.off]
 	d.off++
 	return v, nil
 }
 
-func (d *walDecoder) u32() (uint32, error) {
+func (d *decoder) u32() (uint32, error) {
 	if d.off+4 > len(d.b) {
-		return 0, errWALDecode
+		return 0, errMalformed
 	}
 	v := binary.LittleEndian.Uint32(d.b[d.off:])
 	d.off += 4
 	return v, nil
 }
 
-func (d *walDecoder) u64() (uint64, error) {
+func (d *decoder) u64() (uint64, error) {
 	if d.off+8 > len(d.b) {
-		return 0, errWALDecode
+		return 0, errMalformed
 	}
 	v := binary.LittleEndian.Uint64(d.b[d.off:])
 	d.off += 8
 	return v, nil
 }
 
-func (d *walDecoder) i64() (int64, error) {
+func (d *decoder) i64() (int64, error) {
 	v, err := d.u64()
 	return int64(v), err
 }
 
-func (d *walDecoder) bytes() ([]byte, error) {
+func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.u32()
 	if err != nil || d.off+int(n) > len(d.b) {
-		return nil, errWALDecode
+		return nil, errMalformed
 	}
 	v := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
 	return v, nil
 }
 
-func (d *walDecoder) str() (string, error) {
+func (d *decoder) str() (string, error) {
 	v, err := d.bytes()
 	return string(v), err
 }
@@ -165,20 +217,62 @@ func (d *walDecoder) str() (string, error) {
 // count reads a u32 length and sanity-checks it against the bytes left:
 // every counted element occupies at least min bytes, so a count larger
 // than remaining/min is corruption, not an allocation request.
-func (d *walDecoder) count(min int) (int, error) {
+func (d *decoder) count(min int) (int, error) {
 	n, err := d.u32()
 	if err != nil {
 		return 0, err
 	}
 	if min > 0 && int(n) > (len(d.b)-d.off)/min {
-		return 0, errWALDecode
+		return 0, errMalformed
 	}
 	return int(n), nil
 }
 
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		return 0, errMalformed
+	}
+	d.off += n
+	return v, nil
+}
+
+func (d *decoder) varint() (int64, error) {
+	v, n := binary.Varint(d.b[d.off:])
+	if n <= 0 {
+		return 0, errMalformed
+	}
+	d.off += n
+	return v, nil
+}
+
+// ucount is count for a uvarint length.
+func (d *decoder) ucount(min int) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.b)-d.off)/uint64(min) {
+		return 0, errMalformed
+	}
+	return int(n), nil
+}
+
+// ubytes reads a uvarint-length-prefixed byte run; the result aliases
+// the payload.
+func (d *decoder) ubytes() ([]byte, error) {
+	n, err := d.ucount(1)
+	if err != nil {
+		return nil, err
+	}
+	v := d.b[d.off : d.off+n]
+	d.off += n
+	return v, nil
+}
+
 // decodeWALRecord parses a payload produced by encodeWALRecord.
 func decodeWALRecord(payload []byte) (walRecord, error) {
-	d := &walDecoder{b: payload}
+	d := &decoder{b: payload}
 	var rec walRecord
 	var err error
 	fail := func(e error) (walRecord, error) {
@@ -245,12 +339,12 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 		rec.Tables = append(rec.Tables, tc)
 	}
 	if d.off != len(d.b) {
-		return fail(fmt.Errorf("%w: %d trailing bytes", errWALDecode, len(d.b)-d.off))
+		return fail(fmt.Errorf("%w: %d trailing bytes", errMalformed, len(d.b)-d.off))
 	}
 	return rec, nil
 }
 
-func decodeField(d *walDecoder) (fieldSnapshot, error) {
+func decodeField(d *decoder) (fieldSnapshot, error) {
 	var fs fieldSnapshot
 	var err error
 	if fs.Key, err = d.str(); err != nil {
@@ -301,7 +395,7 @@ func decodeField(d *walDecoder) (fieldSnapshot, error) {
 			}
 		}
 	default:
-		err = fmt.Errorf("%w: unknown field kind %d", errWALDecode, fs.Kind)
+		err = fmt.Errorf("%w: unknown field kind %d", errMalformed, fs.Kind)
 	}
 	return fs, err
 }

@@ -255,3 +255,27 @@ func (tx *Tx) buildWALRecord() (walRecord, bool, error) {
 	}
 	return rec, len(rec.Tables) != 0, nil
 }
+
+// encodeField wraps one live value in its typed fieldSnapshot form.
+func encodeField(key string, v any) (fieldSnapshot, error) {
+	fs := fieldSnapshot{Key: key}
+	switch x := v.(type) {
+	case string:
+		fs.Kind, fs.S = kindString, x
+	case int64:
+		fs.Kind, fs.I = kindInt, x
+	case float64:
+		fs.Kind, fs.F = kindFloat, x
+	case bool:
+		fs.Kind, fs.B = kindBool, x
+	case time.Time:
+		fs.Kind, fs.T = kindTime, x
+	case []int64:
+		fs.Kind, fs.LI = kindIntList, x
+	case []string:
+		fs.Kind, fs.LS = kindStringList, x
+	default:
+		return fs, fmt.Errorf("store: field %q: %w", key, ErrBadValue)
+	}
+	return fs, nil
+}
