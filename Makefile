@@ -8,7 +8,7 @@ test:
 
 # The tier-1 gate: everything CI (and the next PR) must keep green. The
 # -race pass covers the store's MVCC contract (snapshot readers, conflict
-# detection, barrier) and the query engine's iterators under writer load —
+# detection) and the query engine's iterators under writer load —
 # the tests most likely to catch a concurrency regression early. gofmt
 # keeps the tree formatting-clean.
 verify:
@@ -60,7 +60,9 @@ test-chaos:
 		./internal/repl
 
 # Native fuzzing of every decoder that reads bytes from disk or the
-# network: each Fuzz* target runs for FUZZTIME (default 20s), starting
+# network, and of the search query parser (FuzzParseQuery, which also
+# checks hits against the reference engine): each Fuzz* target in any
+# package runs for FUZZTIME (default 20s), starting
 # from its committed seed corpus under testdata/fuzz/ (which plain `go
 # test` already replays). New crashers land in testdata/fuzz/ as
 # regression seeds. Not part of `make verify`.
@@ -81,7 +83,8 @@ bench-faults:
 		scripts/bench_compare.sh
 
 # Race-checks every package with dedicated concurrency tests (MVCC
-# snapshot isolation, zero-copy read path, search flush).
+# snapshot isolation, zero-copy read path, searches against committing
+# writers).
 race:
 	go test -race ./internal/store/... ./internal/search/... ./internal/entity/... ./internal/portal/... ./internal/repl/...
 

@@ -440,7 +440,7 @@ func runSearchFeature(float64) error {
 	}
 	fmt.Printf("saved query re-run -> %d hit(s)\n", len(hits))
 	fmt.Println("CSV export:")
-	return sys.Search.ExportCSV(os.Stdout, hits)
+	return sys.View(func(tx *store.Tx) error { return sys.Search.ExportCSV(tx, os.Stdout, hits) })
 }
 
 // runAuditFeature demonstrates the manipulation log.

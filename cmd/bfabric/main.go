@@ -154,12 +154,6 @@ func main() {
 			if shipper != nil {
 				shipper.Disconnect()
 			}
-			if sys.Search != nil {
-				// The replica's search index was empty by design (it applies
-				// raw WAL frames, not write-path events). Now that this node
-				// serves as primary, rebuild it from the replicated state.
-				sys.Search.ReindexAll()
-			}
 			log.Printf("promoted to primary: epoch %d, timeline starts at seq %d", prom.Epoch, prom.LastApplied)
 			return prom, nil
 		}

@@ -22,8 +22,9 @@ import (
 // Options tunes which optional subsystems a System carries. The zero value
 // enables everything and keeps the store in memory.
 type Options struct {
-	// DisableSearch skips the full-text index (useful for bulk-load
-	// benchmarks where indexing would dominate).
+	// DisableSearch skips the search service and with it the store's
+	// text indexes, which every commit would otherwise maintain (useful
+	// for bulk-load benchmarks where indexing would dominate).
 	DisableSearch bool
 	// DisableAudit skips the audit log.
 	DisableAudit bool

@@ -21,14 +21,15 @@
 //
 //   - System.View pins the committed version current at the call and runs
 //     entirely lock-free — portal page renders, similarity scans and
-//     search flush reads proceed at full speed while imports commit;
+//     searches proceed at full speed while imports commit;
 //   - System.Update serializes with other writers and publishes its
 //     changes as one new version, so service-layer read-modify-write
 //     logic (task claims, vocabulary merges, workflow steps) needs no
 //     conflict handling;
-//   - entity events are delivered inside the still-open write transaction;
-//     observers that re-read committed state afterwards must synchronize
-//     with Store.Barrier, as internal/search does.
+//   - entity events are delivered inside the still-open write transaction
+//     and must write only through it; state that has to follow commits
+//     exactly, like the full-text index, is kept by the store itself
+//     (store.CreateTextIndex), not by event observers.
 //
 // Services hold no store-wide locks of their own: all cross-service
 // consistency derives from transactions pinning one version.

@@ -1,6 +1,6 @@
 // Package events provides the synchronous in-process event bus that wires
 // B-Fabric's subsystems together: entity mutations publish events which the
-// task engine, audit log, and search indexer consume. Handlers run
+// task engine and audit log consume. Handlers run
 // synchronously in subscription order, which keeps system behaviour
 // deterministic and transactional side effects ordered.
 package events

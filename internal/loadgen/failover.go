@@ -79,16 +79,7 @@ func RunFailover(cfg Config) (*Report, error) {
 	}
 	pcfg := cfg.Portal
 	pcfg.ReplicaStatus = func() any { return f.Report() }
-	pcfg.Promote = func() (any, error) {
-		prom, err := f.Promote()
-		if err != nil {
-			return nil, err
-		}
-		if fsys.Search != nil {
-			fsys.Search.ReindexAll()
-		}
-		return prom, nil
-	}
+	pcfg.Promote = func() (any, error) { return f.Promote() }
 	fbase, shutFollower, err := BootServer(fsys, pcfg)
 	if err != nil {
 		return nil, err
@@ -105,7 +96,7 @@ func RunFailover(cfg Config) (*Report, error) {
 	workers := make([]*worker, 0, cfg.Clients+cfg.Writers)
 	for i := 0; i < cfg.Clients+cfg.Writers; i++ {
 		isWriter := i >= cfg.Clients
-		w := newWorker(i, isWriter, false, base, transport, users[i], cfg.Timeout, cfg.Seed+int64(i)*7919, fails)
+		w := newWorker(i, isWriter, base, transport, users[i], cfg.Timeout, cfg.Seed+int64(i)*7919, fails)
 		w.samplesOnly = isWriter
 		if err := w.login(); err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)

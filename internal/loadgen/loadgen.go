@@ -272,11 +272,10 @@ func Run(cfg Config) (*Report, error) {
 // shipper on the primary, and per replica a fresh system wired exactly
 // like the primary's (same schema registration), flipped into replica
 // mode, followed up to the primary's current seq, and served by its own
-// portal socket. Readers then browse replicated state while the primary
-// keeps committing; each replica's search index is knowingly empty
-// (replicated commits fire no events — see docs/replication.md), so the
-// replica portal answers /api/search with 503 search_unavailable and the
-// search workload verifies exactly that refusal.
+// portal socket. Readers then browse and search replicated state while
+// the primary keeps committing: the store keeps each replica's text index
+// from the frames it applies, so replica search rows validate hits exactly
+// like the primary's.
 func bootReplicas(cfg Config, sys *core.System) ([]string, func(), error) {
 	var cleanups []func()
 	cleanup := func() {

@@ -62,16 +62,13 @@ type stream struct {
 type worker struct {
 	id     int
 	writer bool
-	// replica marks a worker pointed at a replica portal, where search is
-	// deliberately unavailable (503) rather than silently empty.
-	replica bool
-	base    string
-	client  *http.Client
-	token   string
-	user    poolUser
-	rng     *rand.Rand
-	rec     *recorder
-	fails   *failures
+	base   string
+	client *http.Client
+	token  string
+	user   poolUser
+	rng    *rand.Rand
+	rec    *recorder
+	fails  *failures
 
 	streams   []*stream
 	etags     map[string]string
@@ -88,18 +85,17 @@ type worker struct {
 	acked       []string
 }
 
-func newWorker(id int, writer, replica bool, base string, rt http.RoundTripper, u poolUser, timeout time.Duration, seed int64, fails *failures) *worker {
+func newWorker(id int, writer bool, base string, rt http.RoundTripper, u poolUser, timeout time.Duration, seed int64, fails *failures) *worker {
 	w := &worker{
-		id:      id,
-		writer:  writer,
-		replica: replica,
-		base:    base,
-		client:  &http.Client{Transport: rt, Timeout: timeout},
-		user:    u,
-		rng:     rand.New(rand.NewSource(seed)),
-		rec:     newRecorder(),
-		fails:   fails,
-		etags:   make(map[string]string),
+		id:     id,
+		writer: writer,
+		base:   base,
+		client: &http.Client{Transport: rt, Timeout: timeout},
+		user:   u,
+		rng:    rand.New(rand.NewSource(seed)),
+		rec:    newRecorder(),
+		fails:  fails,
+		etags:  make(map[string]string),
 	}
 	for _, kind := range []string{model.KindSample, model.KindExtract, model.KindWorkunit, model.KindDataResource, model.KindProject} {
 		w.streams = append(w.streams, &stream{kind: kind, filter: url.Values{}})
@@ -461,40 +457,28 @@ func (w *worker) statsGroupOp() {
 func (w *worker) searchOp() {
 	q := fmt.Sprintf("sample-%05d", 1+w.rng.Intn(256))
 	path := "/api/search?q=" + url.QueryEscape(q)
-	if w.replica {
-		// Replicas refuse search honestly instead of serving their empty
-		// index as zero hits; the refusal must be machine-readable and
-		// retryable.
-		status, data, respHeader := w.request(opSearch, "GET", path, nil, nil, http.StatusServiceUnavailable)
-		if status != http.StatusServiceUnavailable {
-			return
-		}
-		var env struct {
-			Code string `json:"code"`
-		}
-		if err := json.Unmarshal(data, &env); err != nil || env.Code != "search_unavailable" {
-			w.fails.add(opSearch, path+": replica 503 without search_unavailable code")
-		}
-		if respHeader.Get("Retry-After") == "" {
-			w.fails.add(opSearch, path+": replica 503 without Retry-After")
-		}
-		return
-	}
 	status, data, _ := w.request(opSearch, "GET", path, nil, nil, http.StatusOK)
 	if status != http.StatusOK {
 		return
 	}
 	var hits []struct {
-		Kind string
-		ID   int64
+		Kind  string
+		ID    int64
+		Score float64
 	}
 	if err := json.Unmarshal(data, &hits); err != nil {
 		w.fails.add(opSearch, path+": bad JSON: "+err.Error())
 		return
 	}
-	for _, h := range hits {
-		if h.Kind == "" || h.ID <= 0 {
-			w.fails.add(opSearch, path+": hit without kind/id")
+	// Primary and replicas answer from their own copy of the store's text
+	// index; both must return well-formed hits ranked by score.
+	for i, h := range hits {
+		if h.Kind == "" || h.ID <= 0 || h.Score <= 0 {
+			w.fails.add(opSearch, path+": hit without kind/id/score")
+			break
+		}
+		if i > 0 && h.Score > hits[i-1].Score {
+			w.fails.add(opSearch, path+": hits not ranked by score")
 			break
 		}
 	}
@@ -590,7 +574,7 @@ func drive(cfg Config, readerBases []string, writerBase string, users []poolUser
 		if !isWriter {
 			base = readerBases[i%len(readerBases)]
 		}
-		w := newWorker(i, isWriter, base != writerBase, base, transport, users[i], cfg.Timeout, cfg.Seed+int64(i)*7919, fails)
+		w := newWorker(i, isWriter, base, transport, users[i], cfg.Timeout, cfg.Seed+int64(i)*7919, fails)
 		if err := w.login(); err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}

@@ -1,12 +1,15 @@
 package portal
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/model"
 )
 
@@ -147,74 +150,89 @@ func TestDashboardETagConditional(t *testing.T) {
 	}
 }
 
-// TestReplicaSearchUnavailable pins the replica search contract: instead
-// of silently serving its knowingly-empty index as zero hits, a replica
-// portal refuses /api/search and /api/search/export with a retryable,
-// machine-readable 503.
-func TestReplicaSearchUnavailable(t *testing.T) {
+// TestReplicaServesSearch: a follower keeps its text index from what it
+// applies (a snapshot resync, then replicated frames), so a replica portal
+// answers /api/search and /api/search/export with the primary's hits.
+func TestReplicaServesSearch(t *testing.T) {
 	fx := newFixture(t)
-	// A second portal over the same system, marked as fronting a replica.
-	// The search gate follows the store's current role, so flip the shared
-	// store into replica mode for the refusal assertions (a real replica
-	// boots that way before serving).
-	replica := httptest.NewServer(NewWithConfig(fx.sys, Config{
+	create := func(name string) int64 {
+		var out struct{ IDs []int64 }
+		code := fx.call(t, "alice", "POST", "/api/samples", map[string]any{
+			"Sample": model.Sample{Name: name, Project: fx.project},
+		}, &out)
+		if code != http.StatusCreated || len(out.IDs) != 1 {
+			t.Fatalf("create %s: %d %+v", name, code, out)
+		}
+		return out.IDs[0]
+	}
+	early := create("replica-early")
+
+	// The follower joins by snapshot resync, then applies every later
+	// commit as a replicated frame.
+	fsys := core.MustNew(core.Options{})
+	fsys.Store.SetReplica(true)
+	var snap bytes.Buffer
+	_, write := fx.sys.Store.PinnedSnapshot()
+	if err := write(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fsys.Store.ResetFromSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := fx.sys.Store.SubscribeCommits(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	late := create("replica-late")
+	for fsys.Store.CommitSeq() < fx.sys.Store.CommitSeq() {
+		if _, err := fsys.Store.ApplyReplicated((<-sub.C).Payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	replica := httptest.NewServer(NewWithConfig(fsys, Config{
 		ReplicaStatus: func() any { return map[string]any{"lag": 0} },
 	}))
 	defer replica.Close()
-	fx.sys.Store.SetReplica(true)
-	defer fx.sys.Store.SetReplica(false)
+	body, _ := json.Marshal(map[string]string{"Login": "alice", "Password": "alice-pw"})
+	resp, err := http.Post(replica.URL+"/api/login", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var session map[string]string
+	_ = json.NewDecoder(resp.Body).Decode(&session)
+	resp.Body.Close()
 
-	for _, path := range []string{"/api/search?q=anything", "/api/search/export?q=anything"} {
-		req, err := http.NewRequest("GET", replica.URL+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+fx.tokens["alice"])
+	get := func(base, token, path string) (int, string) {
+		req, _ := http.NewRequest("GET", base+path, nil)
+		req.Header.Set("Authorization", "Bearer "+token)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env errEnvelope
-		err = json.NewDecoder(resp.Body).Decode(&env)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("%s on replica: %d, want 503", path, resp.StatusCode)
-			continue
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for name, id := range map[string]int64{"replica-early": early, "replica-late": late} {
+		code, onReplica := get(replica.URL, session["token"], "/api/search?q="+name)
+		_, onPrimary := get(fx.srv.URL, fx.tokens["alice"], "/api/search?q="+name)
+		var hits []struct {
+			Kind string
+			ID   int64
 		}
-		if err != nil || env.Code != "search_unavailable" {
-			t.Errorf("%s on replica: envelope %+v, want code search_unavailable", path, env)
+		if err := json.Unmarshal([]byte(onReplica), &hits); code != http.StatusOK || err != nil ||
+			len(hits) != 1 || hits[0].Kind != model.KindSample || hits[0].ID != id {
+			t.Errorf("search %s on replica: %d %s, want sample %d", name, code, onReplica, id)
 		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Errorf("%s on replica: missing Retry-After", path)
+		if onReplica != onPrimary {
+			t.Errorf("search %s: replica %s, primary %s", name, onReplica, onPrimary)
 		}
-	}
-
-	// The primary keeps serving search, and other replica reads still work.
-	if resp, _ := fx.get(t, "alice", "/api/search?q=anything", nil); resp.StatusCode != http.StatusOK {
-		t.Errorf("search on primary: %d, want 200", resp.StatusCode)
-	}
-
-	// Promotion opens the gate: once the store leaves replica mode the
-	// same portal serves search again, no restart needed.
-	fx.sys.Store.SetReplica(false)
-	req2, _ := http.NewRequest("GET", replica.URL+"/api/search?q=anything", nil)
-	req2.Header.Set("Authorization", "Bearer "+fx.tokens["alice"])
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("search on promoted replica portal: %d, want 200", resp2.StatusCode)
-	}
-	req, _ := http.NewRequest("GET", replica.URL+"/api/stats", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("stats on replica: %d, want 200", resp.StatusCode)
+		code, csv := get(replica.URL, session["token"], "/api/search/export?q="+name)
+		if code != http.StatusOK || !strings.Contains(csv, name) {
+			t.Errorf("export %s on replica: %d %q", name, code, csv)
+		}
 	}
 }
 

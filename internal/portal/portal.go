@@ -1612,31 +1612,9 @@ func (s *Server) handleWorkflowDOT(w http.ResponseWriter, r *http.Request) {
 
 // --- search ------------------------------------------------------------------------------
 
-// searchUnavailable answers 503 on replica portals, where the in-memory
-// search index is knowingly empty: the index is built from write-path
-// events the replica never sees (it applies raw WAL frames). Serving an
-// empty index would return zero hits for everything — indistinguishable
-// from "nothing matched" — so the replica refuses honestly with a
-// machine-readable code and Retry-After instead of silently lying;
-// clients route /api/search to the primary (see docs/replication.md).
-//
-// The gate follows the store's current role: once the replica is
-// promoted (and the host rebuilds the index from the replicated state —
-// see the Promote wiring in cmd/bfabric), search serves again without a
-// restart.
-func (s *Server) searchUnavailable(w http.ResponseWriter) bool {
-	if s.replicaStatus == nil || !s.sys.Store.IsReplica() {
-		return false
-	}
-	writeErrCode(w, http.StatusServiceUnavailable, "search_unavailable",
-		errors.New("portal: search is not available on a read replica, query the primary"))
-	return true
-}
-
+// handleSearch serves on replicas too: the text index is kept by the
+// store, so a follower's postings follow the frames it applies.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if s.searchUnavailable(w) {
-		return
-	}
 	q := r.URL.Query().Get("q")
 	hits, err := s.sys.Search.Search(loginOf(r), q)
 	if err != nil {
@@ -1683,19 +1661,23 @@ func (s *Server) handleSavedQueries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// handleExport finds the hits and reads their names in one snapshot, so
+// a hit deleted meanwhile is still exported with the name it matched.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	if s.searchUnavailable(w) {
-		return
-	}
 	q := r.URL.Query().Get("q")
-	hits, err := s.sys.Search.Search(loginOf(r), q)
+	err := s.sys.View(func(tx *store.Tx) error {
+		hits, err := s.sys.Search.SearchTx(tx, loginOf(r), q)
+		if err != nil {
+			return err
+		}
+		w.Header().Set("Content-Type", "text/csv")
+		w.Header().Set("Content-Disposition", `attachment; filename="search.csv"`)
+		_ = s.sys.Search.ExportCSV(tx, w, hits)
+		return nil
+	})
 	if err != nil {
 		writeErr(w, statusFor(err), err)
-		return
 	}
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Content-Disposition", `attachment; filename="search.csv"`)
-	_ = s.sys.Search.ExportCSV(w, hits)
 }
 
 // --- audit ----------------------------------------------------------------------------------

@@ -9,10 +9,10 @@ import (
 	"repro/internal/store"
 )
 
-// TestConcurrentSearchAndWrites hammers the zero-copy flush path (dirty-doc
-// reads via GetRef, postings rebuilt outside the store lock) against
-// committing writers; run with -race. Results only assert internal
-// consistency, since the doc set moves under the queries.
+// TestConcurrentSearchAndWrites runs lock-free searches over pinned
+// snapshots against writers committing text-index deltas; run with -race.
+// Results only assert internal consistency, since the doc set moves under
+// the queries.
 func TestConcurrentSearchAndWrites(t *testing.T) {
 	fx := newFixture(t)
 	const (

@@ -12,37 +12,23 @@ import (
 
 // ExportCSV writes search results to w as CSV — the paper's "search results
 // can be exported into files". Columns: kind, id, score, name (when the hit
-// record has a name field).
-func (s *Service) ExportCSV(w io.Writer, hits []Hit) error {
+// record has a name field). Names are read from the transaction's
+// snapshot; pass the transaction the hits were found in (SearchTx) so
+// every hit is exported with the name it matched under.
+func (s *Service) ExportCSV(tx *store.Tx, w io.Writer, hits []Hit) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"kind", "id", "score", "name"}); err != nil {
 		return err
 	}
-	st := s.rg.Store()
-	// One read transaction for all hits; names are extracted from shared
-	// record references without cloning.
-	names := make([]string, len(hits))
-	_ = st.View(func(tx *store.Tx) error {
-		for i, h := range hits {
-			if !st.HasTable(h.Kind) {
-				continue
-			}
-			if r, err := tx.GetRef(h.Kind, h.ID); err == nil {
-				names[i] = r.String("name")
-				if names[i] == "" {
-					names[i] = r.String("value") // annotation terms
-				}
+	for _, h := range hits {
+		var name string
+		if r, err := tx.GetRef(h.Kind, h.ID); err == nil {
+			name = r.String("name")
+			if name == "" {
+				name = r.String("value") // annotation terms
 			}
 		}
-		return nil
-	})
-	for i, h := range hits {
-		rec := []string{
-			h.Kind,
-			strconv.FormatInt(h.ID, 10),
-			strconv.FormatFloat(h.Score, 'f', 2, 64),
-			names[i],
-		}
+		rec := []string{h.Kind, strconv.FormatInt(h.ID, 10), strconv.FormatFloat(h.Score, 'f', 2, 64), name}
 		if err := cw.Write(rec); err != nil {
 			return err
 		}

@@ -1,25 +1,27 @@
-// Package search implements B-Fabric's full-text search: an inverted index
-// over the attributes and readable contents of all main objects, quick and
+// Package search implements B-Fabric's full-text search over the
+// attributes and readable contents of all main objects: quick and
 // advanced (fielded) queries, per-user search history, saved queries that
 // re-execute against live data, and CSV export of result sets.
 //
-// The index lives in memory and follows the store: entity events mark
-// documents dirty, and the dirty set is re-read from committed state before
-// each query, so the index never reflects rolled-back transactions.
+// The inverted index is the store's. New registers a text index on every
+// searchable table (store.CreateTextIndex), and from then on every commit,
+// WAL replay, replicated frame and snapshot load keeps it, so a query sees
+// exactly the committed state of the snapshot it reads and a replica
+// answers like its primary. This package keeps no index state: it parses
+// queries, intersects or unions postings under one pinned transaction, and
+// ranks the hits by term frequency recounted from the hit records.
 package search
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"unicode"
 
 	"repro/internal/entity"
-	"repro/internal/events"
+	"repro/internal/fulltext"
 	"repro/internal/store"
 )
 
@@ -32,41 +34,15 @@ type Hit struct {
 	Score float64
 }
 
-// docKey encodes (kind, id) as the index document key.
-func docKey(kind string, id int64) string { return kind + ":" + strconv.FormatInt(id, 10) }
-
-func parseDocKey(key string) (string, int64) {
-	i := strings.LastIndexByte(key, ':')
-	id, _ := strconv.ParseInt(key[i+1:], 10, 64)
-	return key[:i], id
-}
-
 // Service is the search engine.
 type Service struct {
 	rg *entity.Registry
-
-	// flushMu serializes Flush cycles end to end (drain, barrier, read,
-	// apply) so two concurrent flushes cannot apply reads of the same
-	// document out of order. It is never taken while mu is held or inside
-	// a store transaction.
-	flushMu sync.Mutex
+	// kinds are the searchable tables, sorted.
+	kinds []string
 
 	mu sync.Mutex
-	// terms maps term -> docKey -> term frequency.
-	terms map[string]map[string]int
-	// fields maps "field\x00term" -> docKey -> tf, for fielded queries.
-	fields map[string]map[string]int
-	// docs maps docKey -> the postings it contributed, for removal.
-	docs map[string]docPostings
-	// dirty is the set of documents awaiting (re-)indexing.
-	dirty map[string]bool
 	// history maps login -> most recent queries, newest last.
 	history map[string][]string
-}
-
-type docPostings struct {
-	terms  map[string]int
-	fields map[string]int
 }
 
 // HistoryLimit caps the per-user search history length.
@@ -86,258 +62,29 @@ type SavedQuery struct {
 // ErrEmptyQuery is returned for queries with no usable terms.
 var ErrEmptyQuery = errors.New("empty query")
 
-// New creates the search service and subscribes it to entity events on the
-// registry's bus. Existing records are marked dirty so the first query
-// indexes them.
+// New creates the search service and registers a text index on the
+// table of every registered kind and on the annotation table. Existing
+// records are indexed by the registration; over a restored store whose
+// snapshot already carried the indexes it is a no-op.
 func New(rg *entity.Registry) *Service {
-	s := &Service{
-		rg:      rg,
-		terms:   make(map[string]map[string]int),
-		fields:  make(map[string]map[string]int),
-		docs:    make(map[string]docPostings),
-		dirty:   make(map[string]bool),
-		history: make(map[string][]string),
-	}
+	s := &Service{rg: rg, history: make(map[string][]string)}
 	st := rg.Store()
 	st.EnsureTable(savedTable)
 	if !st.HasTable(savedTable + "_marker") {
 		_ = st.CreateIndex(savedTable, "owner", false)
 		st.EnsureTable(savedTable + "_marker")
 	}
-	rg.Bus().Subscribe("", s.onEvent)
-	s.ReindexAll()
-	return s
-}
-
-// onEvent marks the touched document(s) dirty. It deliberately does not
-// read the records: the event fires inside an uncommitted transaction, and
-// the flush re-reads committed state later. A coalesced batch event marks
-// all of its documents under one lock acquisition, so a bulk commit costs
-// the indexer one mutex round instead of one per entity.
-func (s *Service) onEvent(ev events.Event) error {
-	if ev.Kind == "" || (ev.ID == 0 && ev.Items == nil) {
-		return nil
-	}
-	switch {
-	case strings.HasSuffix(ev.Topic, ".created"),
-		strings.HasSuffix(ev.Topic, ".updated"),
-		strings.HasSuffix(ev.Topic, ".deleted"),
-		strings.HasSuffix(ev.Topic, ".released"),
-		strings.HasSuffix(ev.Topic, ".merged"):
-		s.mu.Lock()
-		if ev.Items != nil {
-			for _, it := range ev.Items {
-				if it.ID != 0 {
-					s.dirty[docKey(ev.Kind, it.ID)] = true
-				}
-			}
-		} else {
-			s.dirty[docKey(ev.Kind, ev.ID)] = true
-		}
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// ReindexAll marks every record of every registered kind (and the
-// annotation table) dirty, forcing a full rebuild on the next query. Keys
-// are gathered with zero-copy scans before the service mutex is taken, so
-// the store is never locked while s.mu is held.
-func (s *Service) ReindexAll() {
-	st := s.rg.Store()
-	kinds := append(s.rg.Kinds(), "annotation")
-	var keys []string
-	for _, kind := range kinds {
+	kinds := append(rg.Kinds(), "annotation")
+	slices.Sort(kinds)
+	for _, kind := range slices.Compact(kinds) {
 		if !st.HasTable(kind) {
 			continue
 		}
-		_ = st.View(func(tx *store.Tx) error {
-			return tx.ScanRef(kind, func(r store.Record) bool {
-				keys = append(keys, docKey(kind, r.ID()))
-				return true
-			})
-		})
+		// ErrExists means the index came back with the snapshot.
+		_ = st.CreateTextIndex(kind)
+		s.kinds = append(s.kinds, kind)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range keys {
-		s.dirty[k] = true
-	}
-}
-
-// Flush applies all pending index updates incrementally, re-reading only the
-// dirty documents from committed state. Queries call it implicitly.
-//
-// The read side is zero-copy: dirty keys are grouped by kind and fetched
-// with GetRef in one read transaction per kind. Because committed records
-// are immutable, the references stay consistent snapshots while the
-// postings are rebuilt after the transaction ends, without ever blocking
-// the store's writers.
-func (s *Service) Flush() {
-	// One flush cycle at a time: a document re-dirtied while this flush is
-	// reading is drained by the next flush, which necessarily reads newer
-	// state, so index applies can never go backwards.
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-
-	s.mu.Lock()
-	if len(s.dirty) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	pending := make([]string, 0, len(s.dirty))
-	for k := range s.dirty {
-		pending = append(pending, k)
-	}
-	s.dirty = make(map[string]bool)
-	s.mu.Unlock()
-	sort.Strings(pending) // deterministic order, grouped by kind
-
-	// Dirty marks arrive from entity events raised inside still-open write
-	// transactions. Under MVCC a read transaction no longer waits for
-	// in-flight writers, so without a handshake this flush could pin a
-	// version that predates the commit that produced a drained mark — and
-	// that document would stay stale with its mark already consumed.
-	// Barrier returns once every write transaction in flight at the drain
-	// has committed or rolled back; the reads below then pin a version
-	// that includes them all.
-	s.rg.Store().Barrier()
-
-	type dirtyDoc struct {
-		key  string
-		kind string
-		rec  store.Record // nil: document deleted, drop its postings
-	}
-	docs := make([]dirtyDoc, len(pending))
-	st := s.rg.Store()
-	for start := 0; start < len(pending); {
-		kind, _ := parseDocKey(pending[start])
-		end := start
-		for end < len(pending) {
-			if k, _ := parseDocKey(pending[end]); k != kind {
-				break
-			}
-			end++
-		}
-		if st.HasTable(kind) {
-			_ = st.View(func(tx *store.Tx) error {
-				for i := start; i < end; i++ {
-					_, id := parseDocKey(pending[i])
-					rec, err := tx.GetRef(kind, id)
-					if err != nil {
-						rec = nil
-					}
-					docs[i] = dirtyDoc{key: pending[i], kind: kind, rec: rec}
-				}
-				return nil
-			})
-		} else {
-			for i := start; i < end; i++ {
-				docs[i] = dirtyDoc{key: pending[i], kind: kind}
-			}
-		}
-		start = end
-	}
-
-	s.mu.Lock()
-	for _, d := range docs {
-		s.removeDoc(d.key)
-		if d.rec != nil {
-			s.indexDoc(d.key, d.kind, d.rec)
-		}
-	}
-	s.mu.Unlock()
-}
-
-// removeDoc drops a document's postings. Caller holds s.mu.
-func (s *Service) removeDoc(key string) {
-	dp, ok := s.docs[key]
-	if !ok {
-		return
-	}
-	for term := range dp.terms {
-		if posting := s.terms[term]; posting != nil {
-			delete(posting, key)
-			if len(posting) == 0 {
-				delete(s.terms, term)
-			}
-		}
-	}
-	for ft := range dp.fields {
-		if posting := s.fields[ft]; posting != nil {
-			delete(posting, key)
-			if len(posting) == 0 {
-				delete(s.fields, ft)
-			}
-		}
-	}
-	delete(s.docs, key)
-}
-
-// indexDoc adds a document's postings. Caller holds s.mu.
-func (s *Service) indexDoc(key, kind string, rec store.Record) {
-	dp := docPostings{terms: make(map[string]int), fields: make(map[string]int)}
-	for field, v := range rec {
-		if field == store.IDField {
-			continue
-		}
-		var text string
-		switch x := v.(type) {
-		case string:
-			text = x
-		case []string:
-			text = strings.Join(x, " ")
-		default:
-			continue
-		}
-		for _, tok := range Tokenize(text) {
-			dp.terms[tok]++
-			dp.fields[field+"\x00"+tok]++
-		}
-	}
-	if len(dp.terms) == 0 {
-		return
-	}
-	for term, tf := range dp.terms {
-		posting := s.terms[term]
-		if posting == nil {
-			posting = make(map[string]int)
-			s.terms[term] = posting
-		}
-		posting[key] = tf
-	}
-	for ft, tf := range dp.fields {
-		posting := s.fields[ft]
-		if posting == nil {
-			posting = make(map[string]int)
-			s.fields[ft] = posting
-		}
-		posting[key] = tf
-	}
-	s.docs[key] = dp
-}
-
-// stopwords excluded from the index and from queries.
-var stopwords = map[string]bool{
-	"the": true, "a": true, "an": true, "of": true, "and": true,
-	"or": true, "in": true, "on": true, "to": true, "is": true,
-	"for": true, "with": true,
-}
-
-// Tokenize lower-cases text and splits it into index terms, dropping
-// one-character tokens and stopwords.
-func Tokenize(text string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-	out := fields[:0]
-	for _, f := range fields {
-		if len(f) < 2 || stopwords[f] {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
+	return s
 }
 
 // Query is a parsed search query.
@@ -376,30 +123,49 @@ func ParseQuery(q string) Query {
 		}
 		if i := strings.IndexByte(raw, ':'); i > 0 {
 			field := strings.ToLower(raw[:i])
-			for _, tok := range Tokenize(raw[i+1:]) {
+			for _, tok := range fulltext.Tokenize(raw[i+1:]) {
 				out.FieldTerms = append(out.FieldTerms, struct{ Field, Term string }{field, tok})
 			}
 			continue
 		}
 		if strings.HasSuffix(raw, "*") {
-			for _, tok := range Tokenize(strings.TrimSuffix(raw, "*")) {
+			for _, tok := range fulltext.Tokenize(strings.TrimSuffix(raw, "*")) {
 				out.Prefixes = append(out.Prefixes, tok)
 			}
 			continue
 		}
-		out.Terms = append(out.Terms, Tokenize(raw)...)
+		out.Terms = append(out.Terms, fulltext.Tokenize(raw)...)
 	}
 	return out
 }
 
-// Search runs a query string and returns ranked hits. The login, if
-// non-empty, gets the query appended to its search history.
+// empty reports whether the query has no term to match.
+func (q *Query) empty() bool {
+	return len(q.Terms) == 0 && len(q.FieldTerms) == 0 && len(q.Prefixes) == 0
+}
+
+// Search runs a query string against the latest committed state and
+// returns ranked hits. The login, if non-empty, gets the query appended to
+// its search history.
 func (s *Service) Search(login, query string) ([]Hit, error) {
+	var hits []Hit
+	err := s.rg.Store().View(func(tx *store.Tx) error {
+		var err error
+		hits, err = s.SearchTx(tx, login, query)
+		return err
+	})
+	return hits, err
+}
+
+// SearchTx is Search against the transaction's snapshot: the hits are
+// exactly the committed records of that snapshot that satisfy the query,
+// ordered by descending score, then kind, then id. Pending writes of the
+// transaction are not searched.
+func (s *Service) SearchTx(tx *store.Tx, login, query string) ([]Hit, error) {
 	q := ParseQuery(query)
-	if len(q.Terms) == 0 && len(q.FieldTerms) == 0 && len(q.Prefixes) == 0 {
+	if q.empty() {
 		return nil, fmt.Errorf("search: %q: %w", query, ErrEmptyQuery)
 	}
-	s.Flush()
 	if login != "" {
 		s.mu.Lock()
 		h := append(s.history[login], query)
@@ -409,110 +175,182 @@ func (s *Service) Search(login, query string) ([]Hit, error) {
 		s.history[login] = h
 		s.mu.Unlock()
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	// Gather per-constraint posting sets.
-	var postings []map[string]int
-	for _, t := range q.Terms {
-		postings = append(postings, s.terms[t])
-	}
+	// The exact keys every kind is probed with: bare terms, then fielded.
+	keys := slices.Clip(q.Terms)
 	for _, ft := range q.FieldTerms {
-		postings = append(postings, s.fields[ft.Field+"\x00"+ft.Term])
+		keys = append(keys, fulltext.FieldKey(ft.Field, ft.Term))
 	}
-	for _, prefix := range q.Prefixes {
-		// A prefix constraint is the union of the postings of every
-		// indexed term sharing the prefix.
-		merged := make(map[string]int)
-		for term, posting := range s.terms {
-			if !strings.HasPrefix(term, prefix) {
-				continue
-			}
-			for key, tf := range posting {
-				merged[key] += tf
-			}
+	hits := []Hit{}
+	var buf []byte
+	for _, kind := range s.kinds {
+		if len(q.Kinds) > 0 && !slices.Contains(q.Kinds, kind) {
+			continue
 		}
-		postings = append(postings, merged)
-	}
-
-	kindOK := func(kind string) bool {
-		if len(q.Kinds) == 0 {
-			return true
+		text := tx.Text(kind)
+		ids := q.match(text, keys)
+		if len(ids) == 0 {
+			continue
 		}
-		for _, k := range q.Kinds {
-			if k == kind {
-				return true
+		fields := q.textFields(text, len(ids))
+		hits = slices.Grow(hits, len(ids))
+		for _, id := range ids {
+			rec, err := tx.GetRef(kind, id)
+			if err != nil {
+				return nil, err // the index and the records are one snapshot
 			}
-		}
-		return false
-	}
-
-	var hits []Hit
-	if q.Or {
-		scores := make(map[string]float64)
-		for _, p := range postings {
-			for key, tf := range p {
-				scores[key] += float64(tf)
-			}
-		}
-		hits = make([]Hit, 0, len(scores))
-		for key, score := range scores {
-			kind, id := parseDocKey(key)
-			if !kindOK(kind) {
-				continue
-			}
-			hits = append(hits, Hit{Kind: kind, ID: id, Score: score})
-		}
-	} else {
-		// AND: walk the smallest posting list and probe the others directly,
-		// accumulating matches into the hit slice without an intermediate
-		// scores map.
-		sort.Slice(postings, func(i, j int) bool { return len(postings[i]) < len(postings[j]) })
-		if len(postings) == 0 || len(postings[0]) == 0 {
-			return nil, nil
-		}
-		hits = make([]Hit, 0, len(postings[0]))
-		for key, tf := range postings[0] {
-			score := float64(tf)
-			matched := true
-			for _, p := range postings[1:] {
-				tf2, ok := p[key]
-				if !ok {
-					matched = false
-					break
-				}
-				score += float64(tf2)
-			}
-			if !matched {
-				continue
-			}
-			kind, id := parseDocKey(key)
-			if !kindOK(kind) {
-				continue
-			}
+			var score float64
+			score, buf = q.score(rec, fields, buf)
 			hits = append(hits, Hit{Kind: kind, ID: id, Score: score})
 		}
 	}
 	slices.SortFunc(hits, func(a, b Hit) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
-				return -1
-			}
-			return 1
-		}
-		if c := strings.Compare(a.Kind, b.Kind); c != 0 {
-			return c
-		}
-		if a.ID != b.ID {
-			if a.ID < b.ID {
-				return -1
-			}
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Kind, b.Kind), cmp.Compare(a.ID, b.ID))
 	})
 	return hits, nil
+}
+
+// match returns the ascending ids of the text index's records that hold
+// every key and prefix of the query, or under OR any of them. A prefix is
+// held by a record holding any term extending it.
+func (q *Query) match(text store.TextIndex, keys []string) []int64 {
+	var arr [8][]int64
+	lists := arr[:0]
+	for _, key := range keys {
+		ids := text.Postings(key)
+		if len(ids) == 0 && !q.Or {
+			return nil
+		}
+		lists = append(lists, ids)
+	}
+	for _, p := range q.Prefixes {
+		var ids []int64
+		text.Walk(func(key string, post []int64) bool {
+			// Field keys (field\x00term) are skipped: a prefix matches terms.
+			if strings.HasPrefix(key, p) && strings.IndexByte(key, 0) < 0 {
+				ids = append(ids, post...)
+			}
+			return true
+		})
+		slices.Sort(ids)
+		lists = append(lists, slices.Compact(ids))
+	}
+	if q.Or {
+		var ids []int64
+		for _, l := range lists {
+			ids = append(ids, l...)
+		}
+		slices.Sort(ids)
+		return slices.Compact(ids)
+	}
+	slices.SortFunc(lists, func(a, b []int64) int { return len(a) - len(b) })
+	if len(lists[0]) == 0 || len(lists) == 1 {
+		return lists[0]
+	}
+	var out []int64
+	pos := make([]int, len(lists))
+next:
+	for _, id := range lists[0] {
+		for i, l := range lists[1:] {
+			j := seek(l, pos[i], id)
+			pos[i] = j
+			if j == len(l) {
+				break next
+			}
+			if l[j] != id {
+				continue next
+			}
+		}
+		out = append(out, id)
+	}
+	return out
+}
+
+// seek returns the index of the first element of the ascending slice l at
+// or after from that is not below id. It gallops from from, so advancing
+// through a dense run costs O(1) per step and skipping a gap of g costs
+// O(log g).
+func seek(l []int64, from int, id int64) int {
+	hi, step := from, 1
+	for hi < len(l) && l[hi] < id {
+		from = hi + 1
+		hi += step
+		step *= 2
+	}
+	j, _ := slices.BinarySearch(l[from:min(hi, len(l))], id)
+	return from + j
+}
+
+// narrowHits is the hit count above which score reads only the fields
+// holding a query term, found by probing the fielded keys once, rather
+// than every text field of each hit record.
+const narrowHits = 4
+
+// textFields returns the fields score must read for nhits hits: those in
+// which some term of the query occurs in the index's snapshot. It returns
+// nil, meaning every field, for few hits and for prefix terms, which may
+// occur in any field.
+func (q *Query) textFields(text store.TextIndex, nhits int) []string {
+	if len(q.Prefixes) > 0 || nhits <= narrowHits {
+		return nil
+	}
+	var out []string
+	for _, field := range text.Fields() {
+		in := slices.ContainsFunc(q.FieldTerms, func(ft struct{ Field, Term string }) bool { return ft.Field == field })
+		for _, t := range q.Terms {
+			if in {
+				break
+			}
+			in = len(text.Postings(fulltext.FieldKey(field, t))) > 0
+		}
+		if in {
+			out = append(out, field)
+		}
+	}
+	return out
+}
+
+// score recounts the query's term frequencies in rec, in the given fields
+// or, with fields nil, in all of them: one for every occurrence of a term
+// or of a term extending a prefix, and for every occurrence of a fielded
+// term in its field. buf is tokenizer scratch, returned for reuse.
+func (q *Query) score(rec store.Record, fields []string, buf []byte) (float64, []byte) {
+	n := 0
+	add := func(field string, v any) {
+		count := func(term string) {
+			for _, t := range q.Terms {
+				if term == t {
+					n++
+				}
+			}
+			for _, ft := range q.FieldTerms {
+				if ft.Field == field && term == ft.Term {
+					n++
+				}
+			}
+			for _, p := range q.Prefixes {
+				if strings.HasPrefix(term, p) {
+					n++
+				}
+			}
+		}
+		switch x := v.(type) {
+		case string:
+			buf = fulltext.Scan(buf, x, count)
+		case []string:
+			for _, s := range x {
+				buf = fulltext.Scan(buf, s, count)
+			}
+		}
+	}
+	if fields == nil {
+		for field, v := range rec {
+			add(field, v)
+		}
+	}
+	for _, field := range fields {
+		add(field, rec[field])
+	}
+	return float64(n), buf
 }
 
 // History returns the login's recent queries, newest last.
@@ -550,21 +388,10 @@ func (s *Service) SavedQueries(tx *store.Tx, owner string) ([]SavedQuery, error)
 
 // RunSaved executes a saved query by id. Per the paper, the invocation
 // "will of course include all objects satisfying the query at run-time".
-// It opens its own read transaction (do not call it with a transaction
-// already held: the implicit index flush reads committed state).
 func (s *Service) RunSaved(login string, id int64) ([]Hit, error) {
 	r, err := s.rg.Store().Get(savedTable, id)
 	if err != nil {
 		return nil, err
 	}
 	return s.Search(login, r.String("query"))
-}
-
-// IndexedDocs returns the number of indexed documents (after a flush);
-// exposed for monitoring and tests.
-func (s *Service) IndexedDocs() int {
-	s.Flush()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.docs)
 }

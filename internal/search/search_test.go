@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/entity"
 	"repro/internal/events"
+	"repro/internal/fulltext"
 	"repro/internal/model"
 	"repro/internal/store"
 	"repro/internal/vocab"
@@ -62,12 +63,12 @@ func (fx *fixture) addSample(t *testing.T, s model.Sample) int64 {
 }
 
 func TestTokenize(t *testing.T) {
-	got := Tokenize("The Arabidopsis-Thaliana light/dark experiment 42!")
+	got := fulltext.Tokenize("The Arabidopsis-Thaliana light/dark experiment 42!")
 	want := []string{"arabidopsis", "thaliana", "light", "dark", "experiment", "42"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Tokenize = %v, want %v", got, want)
 	}
-	if len(Tokenize("a I of the")) != 0 {
+	if len(fulltext.Tokenize("a I of the")) != 0 {
 		t.Error("stopwords/short tokens survived")
 	}
 }
@@ -334,12 +335,15 @@ func TestRankingPrefersHigherTF(t *testing.T) {
 func TestExportCSV(t *testing.T) {
 	fx := newFixture(t)
 	fx.addSample(t, model.Sample{Name: "exported-sample", Species: "Arabidopsis"})
-	hits, err := fx.svc.Search("", "arabidopsis")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := fx.svc.ExportCSV(&buf, hits); err != nil {
+	err := fx.s.View(func(tx *store.Tx) error {
+		hits, err := fx.svc.SearchTx(tx, "", "arabidopsis")
+		if err != nil {
+			return err
+		}
+		return fx.svc.ExportCSV(tx, &buf, hits)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -371,17 +375,35 @@ func TestExportRecordsCSV(t *testing.T) {
 	}
 }
 
-func TestIndexedDocsAndReindexAll(t *testing.T) {
+// TestExportReadsSearchSnapshot: an export names its hits from the
+// snapshot the search ran in, so a hit deleted after the search is still
+// exported with the name it matched under.
+func TestExportReadsSearchSnapshot(t *testing.T) {
 	fx := newFixture(t)
-	fx.addSample(t, model.Sample{Name: "s1"})
-	fx.addSample(t, model.Sample{Name: "s2"})
-	n := fx.svc.IndexedDocs()
-	if n < 3 { // project + 2 samples
-		t.Errorf("IndexedDocs = %d", n)
+	id := fx.addSample(t, model.Sample{Name: "doomed-sample"})
+	tx, err := fx.s.Begin(true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fx.svc.ReindexAll()
-	if fx.svc.IndexedDocs() != n {
-		t.Error("ReindexAll changed document count")
+	defer tx.Rollback()
+	hits, err := fx.svc.SearchTx(tx, "", "doomed")
+	if err != nil || len(hits) != 1 || hits[0].ID != id {
+		t.Fatalf("hits = %+v, %v", hits, err)
+	}
+	if err := fx.s.Update(func(utx *store.Tx) error {
+		return fx.db.Registry().Delete(utx, model.KindSample, id, "alice")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fx.svc.ExportCSV(tx, &buf, hits); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "doomed-sample") {
+		t.Errorf("export lost the deleted hit's name: %q", buf.String())
+	}
+	if hits, _ := fx.svc.Search("", "doomed"); len(hits) != 0 {
+		t.Errorf("deleted sample still found: %+v", hits)
 	}
 }
 

@@ -222,7 +222,7 @@ func (tx *Tx) planAgg(t *table, aq AggQuery) (*plannedAgg, error) {
 			p.Agg = AggStrategyScanFold
 		}
 	default:
-		_, grouped := t.indexes[aq.GroupBy]
+		_, grouped := t.fieldIndex(aq.GroupBy)
 		if countOnly && grouped && len(q.Where) == 0 {
 			// Walk the grouping index's keys directly; postings lengths
 			// are the per-group counts. The access fields describe the

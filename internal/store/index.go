@@ -2,9 +2,13 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
+
+	"repro/internal/fulltext"
 )
 
 // indexKey is the canonical string form of an indexed field value. Using a
@@ -93,10 +97,14 @@ func shardOf(key indexKey) int {
 	return int(h & (indexShardCount - 1))
 }
 
-// index is a secondary index over one field of a table. Postings are kept
-// as sorted id slices inside hash-sharded maps, maintained incrementally
-// on insert/remove, so lookups return ordered results without re-sorting.
-// Unique indexes additionally enforce at most one row per key.
+// index is a secondary index of a table. Each record emits a set of keys
+// (appendKeys) and each key's postings are the ids of the records that
+// emit it, kept as sorted id slices inside hash-sharded maps and
+// maintained incrementally on insert/remove, so lookups return ordered
+// results without re-sorting. A field index emits at most one key, the
+// field's value; unique field indexes additionally enforce at most one
+// row per key. The text index (one per table, under textIndexName) emits
+// the record's full-text terms.
 //
 // Like every version-reachable structure, a published index is immutable:
 // the in-place methods below are only legal while the index is private
@@ -105,13 +113,61 @@ func shardOf(key indexKey) int {
 type index struct {
 	field  string
 	unique bool
+	text   bool
 	// groups holds the shard maps; nil groups (and nil shard maps inside
 	// a group) are all-empty.
 	groups []*ixGroup
+	// fields, on a text index, are the sorted names of the string and
+	// []string fields its records have carried. It never shrinks, so it
+	// is a superset of the fields holding an indexed term; the slice is
+	// replaced, never modified, when a field is added.
+	fields []string
 }
+
+// textIndexName is the name the text index is registered under in
+// table.indexes. It is reserved: no field index may take it, and the
+// planner, lookups and aggregates never see the text index (fieldIndex).
+const textIndexName = "\x00text"
 
 func newIndex(field string, unique bool) *index {
 	return &index{field: field, unique: unique, groups: make([]*ixGroup, ixGroupCount)}
+}
+
+// appendKeys appends the record's key set under this index to keys, in
+// ascending order without duplicates.
+func (ix *index) appendKeys(keys []indexKey, r Record) []indexKey {
+	start := len(keys)
+	ix.eachKey(r, func(key indexKey) { keys = append(keys, key) })
+	slices.Sort(keys[start:])
+	return slices.Compact(keys)
+}
+
+// eachKey calls fn with every key the record emits, in no particular
+// order and possibly repeated: at most one for a field index (the field's
+// value), and for a text index, for every string and []string field,
+// each term t and the pair field\x00t (fulltext.FieldKey).
+func (ix *index) eachKey(r Record, fn func(key indexKey)) {
+	if !ix.text {
+		if key, ok := keyFor(r[ix.field]); ok {
+			fn(key)
+		}
+		return
+	}
+	var buf []byte
+	for field, v := range r {
+		emit := func(term string) {
+			fn(indexKey(strings.Clone(term)))
+			fn(indexKey(fulltext.FieldKey(field, term)))
+		}
+		switch x := v.(type) {
+		case string:
+			buf = fulltext.Scan(buf, x, emit)
+		case []string:
+			for _, s := range x {
+				buf = fulltext.Scan(buf, s, emit)
+			}
+		}
+	}
 }
 
 // clone returns a copy of the index sharing every shard group (and thus
@@ -122,106 +178,84 @@ func (ix *index) clone() *index {
 	return &index{
 		field:  ix.field,
 		unique: ix.unique,
+		text:   ix.text,
 		groups: append(make([]*ixGroup, 0, ixGroupCount), ix.groups...),
+		fields: ix.fields,
 	}
 }
 
 // postings returns the sorted ids holding key, shared — callers must not
 // mutate.
 func (ix *index) postings(key indexKey) []int64 {
-	s := shardOf(key)
-	g := ix.groups[s>>ixShardBits]
-	if g == nil {
-		return nil
-	}
-	m := g[s&(ixGroupSize-1)]
-	if m == nil {
-		return nil
-	}
-	return m[key]
+	return ix.shard(key, false)[key]
 }
 
-// setPostings installs (or, with nil ids, removes) a key's postings
-// IN PLACE. Only legal on a private index.
-func (ix *index) setPostings(key indexKey, ids []int64) {
+// shard returns the shard map covering key, or nil when it does not
+// exist and create is false. Creating one mutates the index IN PLACE, so
+// create is only legal on a private index.
+func (ix *index) shard(key indexKey, create bool) map[indexKey][]int64 {
 	s := shardOf(key)
 	g := ix.groups[s>>ixShardBits]
 	if g == nil {
-		if ids == nil {
-			return
+		if !create {
+			return nil
 		}
 		g = new(ixGroup)
 		ix.groups[s>>ixShardBits] = g
 	}
 	m := g[s&(ixGroupSize-1)]
-	if m == nil {
-		if ids == nil {
-			return
-		}
+	if m == nil && create {
 		m = make(map[indexKey][]int64)
 		g[s&(ixGroupSize-1)] = m
 	}
-	if ids == nil {
-		delete(m, key)
-		return
-	}
-	m[key] = ids
+	return m
 }
 
+// withTextFields returns fields extended by the names of r's string and
+// []string fields, in order. It returns fields itself when nothing is
+// new and never modifies it.
+func withTextFields(fields []string, r Record) []string {
+	for k, v := range r {
+		switch v.(type) {
+		case string, []string:
+			if i, found := slices.BinarySearch(fields, k); !found {
+				fields = slices.Insert(slices.Clip(fields), i, k)
+			}
+		}
+	}
+	return fields
+}
+
+// insert adds id under every key the record emits, IN PLACE. Only legal
+// on a private index.
 func (ix *index) insert(r Record, id int64) error {
-	v, ok := r[ix.field]
-	if !ok {
-		return nil // absent field is simply not indexed
+	if ix.text {
+		ix.fields = withTextFields(ix.fields, r)
 	}
-	key, ok := keyFor(v)
-	if !ok {
-		return nil
-	}
-	return ix.insertKey(key, v, id)
+	var err error
+	ix.eachKey(r, func(key indexKey) {
+		m := ix.shard(key, true)
+		ids := m[key]
+		if n := len(ids); ix.unique && n > 0 && !(n == 1 && ids[0] == id) {
+			err = fmt.Errorf("field %q value %v: %w", ix.field, r[ix.field], ErrUnique)
+			return
+		}
+		m[key] = insertSorted(ids, id)
+	})
+	return err
 }
 
-// insertKey adds id under an already-computed key IN PLACE. Only legal on
-// a private index.
-func (ix *index) insertKey(key indexKey, v any, id int64) error {
-	ids := ix.postings(key)
-	if err := ix.checkUniqueKey(ids, v, id); err != nil {
-		return err
-	}
-	ix.setPostings(key, insertSorted(ids, id))
-	return nil
-}
-
-// checkUniqueKey enforces the at-most-one-row rule for unique indexes
-// given a key's current postings.
-func (ix *index) checkUniqueKey(ids []int64, v any, id int64) error {
-	n := len(ids)
-	if ix.unique && n > 0 && !(n == 1 && ids[0] == id) {
-		return fmt.Errorf("field %q value %v: %w", ix.field, v, ErrUnique)
-	}
-	return nil
-}
-
+// remove drops id from every key the record emits, IN PLACE. Only legal
+// on a private index.
 func (ix *index) remove(r Record, id int64) {
-	v, ok := r[ix.field]
-	if !ok {
-		return
-	}
-	key, ok := keyFor(v)
-	if !ok {
-		return
-	}
-	ix.removeKey(key, id)
-}
-
-// removeKey drops id from an already-computed key's postings IN PLACE.
-// Only legal on a private index.
-func (ix *index) removeKey(key indexKey, id int64) {
-	ids := removeSorted(ix.postings(key), id)
-	if len(ids) == 0 {
-		ix.setPostings(key, nil)
-		return
-	}
-	ix.setPostings(key, ids)
+	ix.eachKey(r, func(key indexKey) {
+		m := ix.shard(key, false)
+		if ids := removeSorted(m[key], id); len(ids) > 0 {
+			m[key] = ids
+		} else {
+			delete(m, key)
+		}
+	})
 }
 
 // walkKeys calls fn for every key with postings, in shard order (that

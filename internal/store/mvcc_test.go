@@ -404,46 +404,6 @@ func TestOptimisticRetryLoopLosesNoUpdates(t *testing.T) {
 	}
 }
 
-// TestBarrierWaitsForInFlightWriter pins the Barrier contract: it must not
-// return while an Update that began before the call is still open, and
-// after it returns a new read transaction sees that Update's commit.
-func TestBarrierWaitsForInFlightWriter(t *testing.T) {
-	s := newTestStore(t, "t")
-	inTx := make(chan struct{})
-	releaseTx := make(chan struct{})
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		_ = s.Update(func(tx *Tx) error {
-			_, err := tx.Insert("t", Record{"name": "pending"})
-			close(inTx)
-			<-releaseTx
-			return err
-		})
-	}()
-	<-inTx
-	barrierDone := make(chan struct{})
-	go func() {
-		s.Barrier()
-		close(barrierDone)
-	}()
-	select {
-	case <-barrierDone:
-		t.Fatal("Barrier returned while a write transaction was still open")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(releaseTx)
-	<-writerDone
-	select {
-	case <-barrierDone:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Barrier did not return after the writer finished")
-	}
-	if got := s.Count("t"); got != 1 {
-		t.Fatalf("count after barrier = %d, want 1", got)
-	}
-}
-
 // TestTxPinnedSchemaAndCounts: Tx.Tables and Tx.Count answer from the
 // pinned snapshot while Store.Tables/Store.Count follow the live head.
 func TestTxPinnedSchemaAndCounts(t *testing.T) {

@@ -230,7 +230,7 @@ func (tx *Tx) plan(t *table, q Query) (*plannedQuery, error) {
 		case p.Field == IDField:
 			cost = len(cp.ids)
 		default:
-			ix, ok := t.indexes[p.Field]
+			ix, ok := t.fieldIndex(p.Field)
 			if !ok {
 				continue
 			}

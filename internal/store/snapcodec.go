@@ -24,7 +24,7 @@ import (
 //	snapshot := magic "BFSNAP02", seq u64, epoch u64, uvarint nTables,
 //	            table...                     (tables in name order)
 //	table    := str name, varint nextID, uvarint nIndexes,
-//	            (str field, u8 unique)...    (indexes in field order)
+//	            (str field, u8 ixkind)...    (indexes in field order)
 //	            chunk..., uvarint 0          (a zero-row chunk ends it)
 //	chunk    := uvarint rows (>0), uvarint len, payload[len],
 //	            u32 CRC32-C(payload)
@@ -42,6 +42,8 @@ import (
 //	          | kindIntList    uvarint n, n×varint
 //	          | kindStringList uvarint n, n×str
 //	str      := uvarint len, len bytes
+//	ixkind   := 0 field index | 1 unique field index
+//	          | 2 text index (field is the reserved textIndexName)
 //
 // The id delta is relative to the previous row of the same table (the
 // first row's to 0). Fixed-width integers are little-endian; kind tags
@@ -119,6 +121,24 @@ type snapWriter struct {
 	dict    map[string]uint64 // this table's key dictionary
 }
 
+// Index kinds in a table header. Files written before text indexes
+// existed carry only the first two, so they read unchanged.
+const (
+	ixKindField byte = iota
+	ixKindUnique
+	ixKindText
+)
+
+func ixKind(ix *index) byte {
+	switch {
+	case ix.text:
+		return ixKindText
+	case ix.unique:
+		return ixKindUnique
+	}
+	return ixKindField
+}
+
 func (sw *snapWriter) table(t *table) error {
 	fields := make([]string, 0, len(t.indexes))
 	for f := range t.indexes {
@@ -130,7 +150,7 @@ func (sw *snapWriter) table(t *table) error {
 	b = binary.AppendUvarint(b, uint64(len(fields)))
 	for _, f := range fields {
 		b = appendUstr(b, f)
-		b = appendBool(b, t.indexes[f].unique)
+		b = append(b, ixKind(t.indexes[f]))
 	}
 	if _, err := sw.bw.Write(b); err != nil {
 		return err
@@ -378,14 +398,15 @@ func (sr *snapReader) table(seq uint64) (*table, error) {
 		if err != nil {
 			return nil, err
 		}
-		unique, err := sr.br.ReadByte()
-		if err != nil || unique > 1 {
-			return nil, corruptf("table %q: index %q: bad unique flag", name, field)
+		kind, err := sr.br.ReadByte()
+		if err != nil || kind > ixKindText || (kind == ixKindText) != (field == textIndexName) {
+			return nil, corruptf("table %q: index %q: bad index kind", name, field)
 		}
 		if i > 0 && field <= ixs[len(ixs)-1].field {
 			return nil, corruptf("table %q: index %q out of order", name, field)
 		}
-		ix := newIndex(field, unique == 1)
+		ix := newIndex(field, kind == ixKindUnique)
+		ix.text = kind == ixKindText
 		t.indexes[field] = ix
 		ixs = append(ixs, ix)
 	}

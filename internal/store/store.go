@@ -235,6 +235,29 @@ func (v *version) tableNames() []string {
 // a new store version, so in-flight readers never observe a half-built
 // index.
 func (s *Store) CreateIndex(tableName, field string, unique bool) error {
+	if field == textIndexName {
+		return fmt.Errorf("store: index name %q is reserved for the text index: %w", field, ErrExists)
+	}
+	return s.addIndex(tableName, newIndex(field, unique))
+}
+
+// CreateTextIndex registers the named table's full-text index. Every
+// string and []string field of every record is split into index terms
+// (fulltext.Scan), and the index keys each term t and each pair
+// fulltext.FieldKey(field, t) to the ids of the records holding it.
+// Existing rows are indexed immediately. Like every index it is kept by
+// commits, WAL replay, replicated frames and snapshot loads, and its
+// definition (never its postings) is persisted with the snapshot. It is
+// invisible to the planner, Lookup and aggregates; read it with Tx.Text.
+func (s *Store) CreateTextIndex(tableName string) error {
+	ix := newIndex(textIndexName, false)
+	ix.text = true
+	return s.addIndex(tableName, ix)
+}
+
+// addIndex builds idx over the table's rows and publishes it with a new
+// version.
+func (s *Store) addIndex(tableName string, idx *index) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	if s.closed.Load() {
@@ -245,18 +268,17 @@ func (s *Store) CreateIndex(tableName, field string, unique bool) error {
 	if !ok {
 		return fmt.Errorf("store: table %q: %w", tableName, ErrNoTable)
 	}
-	if _, ok := t.indexes[field]; ok {
-		return fmt.Errorf("store: index on %s.%s already exists: %w", tableName, field, ErrExists)
+	if _, ok := t.indexes[idx.field]; ok {
+		return fmt.Errorf("store: index on %s.%s already exists: %w", tableName, idx.field, ErrExists)
 	}
-	idx := newIndex(field, unique)
 	it := t.iter(0, 0)
 	for id, r := it.next(); id != 0; id, r = it.next() {
 		if err := idx.insert(r, id); err != nil {
-			return fmt.Errorf("store: building index %s.%s: %w", tableName, field, err)
+			return fmt.Errorf("store: building index %s.%s: %w", tableName, idx.field, err)
 		}
 	}
 	nt := t.clone()
-	nt.indexes[field] = idx
+	nt.indexes[idx.field] = idx
 	nv := v.withTables()
 	nv.tables[tableName] = nt
 	s.current.Store(nv)
@@ -346,20 +368,6 @@ func (s *Store) Count(tableName string) int {
 		return 0
 	}
 	return t.count
-}
-
-// Barrier returns once every Update transaction that was in flight when
-// Barrier was called has committed or rolled back. It is the
-// read-your-writes handshake for observers notified from inside a
-// transaction (e.g. the search index's dirty marks): mark, Barrier, then
-// read — the read is guaranteed to see the transaction that produced the
-// mark. Optimistic Begin transactions are not covered between Begin and
-// Commit, only their commit section is.
-func (s *Store) Barrier() {
-	s.writeMu.Lock()
-	// Deliberately empty critical section: acquiring the writer mutex
-	// proves every earlier writer has finished and published its version.
-	s.writeMu.Unlock() //nolint:staticcheck // SA2001: empty section is the point
 }
 
 // View runs fn inside a read-only transaction pinned to the committed

@@ -625,7 +625,7 @@ func (tx *Tx) Lookup(tableName, field string, value any) ([]int64, error) {
 	}
 	o := tx.pending[tableName]
 	var ids []int64
-	if ix, haveIx := t.indexes[field]; haveIx {
+	if ix, haveIx := t.fieldIndex(field); haveIx {
 		committed := ix.lookup(value)
 		if o == nil || (len(o.writes) == 0 && len(o.deletes) == 0) {
 			// Fast path: the index result is already sorted and final.
@@ -688,6 +688,50 @@ func (tx *Tx) Lookup(tableName, field string, value any) ([]int64, error) {
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
 	return ids, nil
+}
+
+// TextIndex is a read handle on a table's text index (Store.CreateTextIndex)
+// as of one transaction's snapshot; the transaction's own pending writes
+// are not reflected. The zero value is an empty index.
+type TextIndex struct{ ix *index }
+
+// Text returns the named table's text index in the transaction's
+// snapshot: the zero TextIndex when the table has none.
+func (tx *Tx) Text(tableName string) TextIndex {
+	if t := tx.ver.tables[tableName]; t != nil {
+		if ix := t.indexes[textIndexName]; ix != nil && ix.text {
+			return TextIndex{ix}
+		}
+	}
+	return TextIndex{}
+}
+
+// Postings returns the ascending ids of the records whose key set holds
+// key: a term, or fulltext.FieldKey of a field and a term. The slice is
+// shared and must not be modified.
+func (t TextIndex) Postings(key string) []int64 {
+	if t.ix == nil {
+		return nil
+	}
+	return t.ix.postings(indexKey(key))
+}
+
+// Walk calls fn with every key and its postings, as Postings would
+// return them, in no particular order, until fn returns false.
+func (t TextIndex) Walk(fn func(key string, ids []int64) bool) {
+	if t.ix != nil {
+		t.ix.walkKeys(func(key indexKey, ids []int64) bool { return fn(string(key), ids) })
+	}
+}
+
+// Fields returns the sorted names of the fields that have carried text
+// in the table's records: every field that holds an indexed term is
+// among them. The slice is shared and must not be modified.
+func (t TextIndex) Fields() []string {
+	if t.ix == nil {
+		return nil
+	}
+	return t.ix.fields
 }
 
 // mergeSortedIDs merges two ascending id slices into a fresh ascending

@@ -85,6 +85,14 @@ func newTable(name string) *table {
 	return &table{name: name, nextID: 1, indexes: make(map[string]*index)}
 }
 
+// fieldIndex returns the field index on the named field. The text index
+// is never returned: the planner, lookups and aggregates see field
+// indexes only.
+func (t *table) fieldIndex(field string) (*index, bool) {
+	ix, ok := t.indexes[field]
+	return ix, ok && !ix.text
+}
+
 // chunkPos maps a record id to its chunk index and slot.
 func chunkPos(id int64) (int, int) {
 	return int((id - 1) >> chunkBits), int((id - 1) & chunkMask)
@@ -341,13 +349,12 @@ func (ci *cowIndex) shardFor(key indexKey) map[indexKey][]int64 {
 // applyDelta installs one key's net postings change for this commit:
 // removes and adds are disjoint ascending id runs, applied in a single
 // sorted-run merge so the key's postings are rebuilt (or appended to) at
-// most once per commit, however many records moved under it. val is a
-// representative field value for unique-violation messages.
-func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64, val any) error {
+// most once per commit, however many records moved under it.
+func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64) error {
 	m := ci.shardFor(key)
 	ids := m[key]
 	if ci.ix.unique && len(ids)-len(removes)+len(adds) > 1 {
-		return fmt.Errorf("field %q value %v: %w", ci.ix.field, val, ErrUnique)
+		return ci.uniqueErr(key)
 	}
 	if len(removes) == 0 {
 		if len(adds) == 0 {
@@ -397,18 +404,22 @@ func (ci *cowIndex) applyDelta(key indexKey, removes, adds []int64, val any) err
 		return nil
 	}
 	if ci.ix.unique && len(merged) > 1 {
-		return fmt.Errorf("field %q value %v: %w", ci.ix.field, val, ErrUnique)
+		return ci.uniqueErr(key)
 	}
 	m[key] = merged
 	return nil
 }
 
+func (ci *cowIndex) uniqueErr(key indexKey) error {
+	v, _ := decodeKey(key)
+	return fmt.Errorf("field %q value %v: %w", ci.ix.field, v, ErrUnique)
+}
+
 // keyDelta accumulates one index key's net postings change for a commit:
 // the ascending ids leaving the key and the ascending ids arriving under
-// it. val is a representative record value for error messages.
+// it.
 type keyDelta struct {
 	removes, adds []int64
-	val           any
 }
 
 // applyOverlay derives the successor of base by applying a transaction's
@@ -419,14 +430,16 @@ type keyDelta struct {
 // the exact same state.
 //
 // Index maintenance is delta-merged: instead of touching the index once
-// per record, the commit groups every add and remove by (field, key) and
+// per record, the commit groups every add and remove by (index, key) and
 // merges each key's postings exactly once in a single sorted-run pass —
 // a batch of N inserts sharing a key costs one append of N ids, not N
 // incremental inserts. Net-keyed deltas also subsume the old two-phase
 // remove-then-insert ordering: a unique-value swap between rows lands as
-// one remove and one add on each key, never a transient collision. Rows
-// whose indexed key is unchanged generate no delta at all, so a rewrite
-// that does not move a row never detaches (copies) the key's postings.
+// one remove and one add on each key, never a transient collision. A
+// rewritten row contributes only the difference between its old and new
+// key sets, so a rewrite that keeps a key (every key, for a field index
+// whose value did not change; the unchanged terms, for the text index)
+// never detaches (copies) that key's postings.
 //
 // The same delta merge is what keeps the version's live counters
 // maintained: the per-table count (table.count, incremented/decremented
@@ -483,18 +496,19 @@ func applyOverlay(base *version, pending map[string]*txTable) (*version, error) 
 			olds[i] = ct.t.get(id)
 		}
 
-		// Per-field postings deltas, built before any chunk mutation so
+		// Per-index postings deltas, built before any chunk mutation so
 		// old records are still reachable. Ids arrive in ascending order,
 		// so each delta's runs are naturally sorted.
-		for f := range ct.t.indexes {
+		var oldKeys, newKeys []indexKey
+		for name, ix := range ct.t.indexes {
 			var deltas map[indexKey]*keyDelta
-			delta := func(key indexKey, val any) *keyDelta {
+			delta := func(key indexKey) *keyDelta {
 				if deltas == nil {
 					deltas = make(map[indexKey]*keyDelta)
 				}
 				d := deltas[key]
 				if d == nil {
-					d = &keyDelta{val: val}
+					d = &keyDelta{}
 					deltas[key] = d
 				}
 				return d
@@ -503,42 +517,52 @@ func applyOverlay(base *version, pending map[string]*txTable) (*version, error) 
 				if oldDels[i] == nil {
 					continue
 				}
-				if key, ok := keyFor(oldDels[i][f]); ok {
-					d := delta(key, oldDels[i][f])
+				oldKeys = ix.appendKeys(oldKeys[:0], oldDels[i])
+				for _, key := range oldKeys {
+					d := delta(key)
 					d.removes = append(d.removes, id)
 				}
 			}
+			fields := ix.fields
 			for i, id := range writeIDs {
-				rec := o.writes[id]
-				var okey, nkey indexKey
-				var ook, nok bool
+				oldKeys = oldKeys[:0]
 				if olds[i] != nil {
-					okey, ook = keyFor(olds[i][f])
+					oldKeys = ix.appendKeys(oldKeys, olds[i])
 				}
-				nkey, nok = keyFor(rec[f])
-				if ook == nok && okey == nkey {
-					continue // unchanged (or unindexable on both sides)
+				newKeys = ix.appendKeys(newKeys[:0], o.writes[id])
+				if ix.text {
+					fields = withTextFields(fields, o.writes[id])
 				}
-				if ook {
-					d := delta(okey, olds[i][f])
-					d.removes = append(d.removes, id)
-				}
-				if nok {
-					d := delta(nkey, rec[f])
-					d.adds = append(d.adds, id)
+				// Only the symmetric difference of the two sorted key sets
+				// moves: a key the row keeps generates no delta.
+				for a, b := 0, 0; a < len(oldKeys) || b < len(newKeys); {
+					switch {
+					case b == len(newKeys) || a < len(oldKeys) && oldKeys[a] < newKeys[b]:
+						d := delta(oldKeys[a])
+						d.removes = append(d.removes, id)
+						a++
+					case a == len(oldKeys) || newKeys[b] < oldKeys[a]:
+						d := delta(newKeys[b])
+						d.adds = append(d.adds, id)
+						b++
+					default:
+						a++
+						b++
+					}
 				}
 			}
 			if deltas == nil {
 				continue
 			}
-			ci := ct.index(f)
+			ci := ct.index(name)
+			ci.ix.fields = fields
 			for key, d := range deltas {
 				// removes concatenates two ascending runs (deleted ids,
 				// then rewritten ids); restore global order for the merge.
 				if !slices.IsSorted(d.removes) {
 					slices.Sort(d.removes)
 				}
-				if err := ci.applyDelta(key, d.removes, d.adds, d.val); err != nil {
+				if err := ci.applyDelta(key, d.removes, d.adds); err != nil {
 					return nil, err
 				}
 			}

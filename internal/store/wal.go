@@ -353,25 +353,17 @@ func (w *wal) sync() {
 	}
 
 	w.syncMu.Lock()
-	firstFailure := false
-	if err != nil {
-		if w.syncErr == nil {
-			w.syncErr = fmt.Errorf("store: wal fsync: %w", err)
-			firstFailure = true
-		}
-		err = w.syncErr
-	} else if target > w.synced {
-		w.synced = target
-	}
-	w.syncCond.Broadcast()
+	firstFailure := err != nil && w.syncErr == nil
 	w.syncMu.Unlock()
-
 	if firstFailure {
-		// Fail closed: a log that cannot reach stable storage must stop
-		// accepting commits — otherwise, under SyncInterval/SyncOff (and
-		// even under SyncAlways, where the install precedes the wait),
-		// acknowledged in-memory state would diverge from durable state
-		// without bound. And tell the host process now, not at Close.
+		// Fail closed, before any waiter learns of the failure: a log that
+		// cannot reach stable storage must stop accepting commits —
+		// otherwise, under SyncInterval/SyncOff (and even under
+		// SyncAlways, where the install precedes the wait), acknowledged
+		// in-memory state would diverge from durable state without bound.
+		// And tell the host process now, not at Close, so the store is
+		// already degraded when the failed commit returns.
+		err = fmt.Errorf("store: wal fsync: %w", err)
 		w.mu.Lock()
 		if w.appendErr == nil {
 			w.appendErr = err
@@ -381,6 +373,17 @@ func (w *wal) sync() {
 			w.onError(err)
 		}
 	}
+
+	w.syncMu.Lock()
+	if err != nil {
+		if w.syncErr == nil {
+			w.syncErr = err
+		}
+	} else if target > w.synced {
+		w.synced = target
+	}
+	w.syncCond.Broadcast()
+	w.syncMu.Unlock()
 }
 
 // rotateLocked seals the current segment (flush, fsync, close) and opens a
